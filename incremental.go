@@ -257,7 +257,7 @@ func prepareIncremental(ctx context.Context, pkg *apk.Package, opts Options) (*t
 	}
 	if esc == nil {
 		_, span = obs.Start(ctx, "escape.analyze")
-		esc, detail = escape.AnalyzeDetailed(model, escape.Options{Workers: opts.Workers})
+		esc, detail = escape.AnalyzeDetailed(model, escape.Options{})
 		span.End()
 	}
 

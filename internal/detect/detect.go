@@ -111,7 +111,7 @@ func (dc *Context) AddRulesOnce(name string, fn func(e *datalog.Engine)) {
 
 // Options tunes context construction.
 type Options struct {
-	// Workers bounds the escape analysis and Datalog worker pools
+	// Workers bounds the shared Datalog engine's worker pool
 	// (0 = GOMAXPROCS). Results are identical for any setting.
 	Workers int
 	// Provenance switches the shared Datalog engine into derivation
@@ -147,7 +147,7 @@ func BuildContext(ctx context.Context, app string, m *threadify.Model, opts Opti
 	esc := opts.Escape
 	if esc == nil {
 		_, span = obs.Start(ctx, "escape.analyze")
-		esc = escape.AnalyzeWith(m, escape.Options{Workers: opts.Workers})
+		esc = escape.Analyze(m)
 		span.End()
 	}
 

@@ -4,15 +4,24 @@
 // Chord's race detector uses the same notion to discard thread-local
 // accesses (§5).
 //
-// The analysis is expressed in Datalog, as in the paper's Chord build:
+// The paper's Chord build states the analysis in Datalog:
 //
 //	Reach(t, h)  :- Root(t, h)
 //	Reach(t, h2) :- Reach(t, h1), HeapPT(h1, f, h2)
 //	Reach(t, h)  :- Touches(t), StaticPT(h)   (statics are global)
 //	Escapes(h)   :- Reach(t1, h), Reach(t2, h), t1 != t2
+//
+// The cold path computes the same relations without an engine: the
+// static seeds are closed over the heap graph once into a word-packed
+// bitset, each non-dummy thread's Reach set is that set plus a
+// depth-first walk from the thread's roots, and an object escapes iff
+// at least two threads' sets hold it (its reacher count). The rules
+// above are kept as the test oracle. AnalyzeIncremental runs the reach
+// rules on the Datalog engine's delta path.
 package escape
 
 import (
+	"math/bits"
 	"sort"
 
 	"nadroid/internal/datalog"
@@ -22,8 +31,8 @@ import (
 
 // Options tunes the analysis.
 type Options struct {
-	// Workers bounds the Datalog engine's per-round worker pool
-	// (0 = GOMAXPROCS). Results are identical for any setting.
+	// Workers is ignored: AnalyzeWith and AnalyzeDetailed run no
+	// Datalog engine. It is kept so existing callers compile.
 	Workers int
 }
 
@@ -72,66 +81,13 @@ func Analyze(m *threadify.Model) *Result { return AnalyzeWith(m, Options{}) }
 
 // AnalyzeWith is Analyze with explicit options.
 func AnalyzeWith(m *threadify.Model, opts Options) *Result {
-	e := solvedEngine(m, opts)
-	pts := m.PTS
-	objSym := func(o pointsto.ObjID) datalog.Sym { return e.IntSym('h', int(o)) }
-	res := &Result{
-		escaped:  make(map[pointsto.ObjID]bool),
-		reachers: make(map[pointsto.ObjID]int),
-	}
-	for id := range pts.Objects() {
-		o := pointsto.ObjID(id)
-		sym := objSym(o)
-		if e.Has("Escapes", sym) {
-			res.escaped[o] = true
-		}
-		res.reachers[o] = len(e.Query("Reach", datalog.Wild, sym))
-	}
+	res, _ := AnalyzeDetailed(m, opts)
 	return res
 }
 
-// solvedEngine builds the escape engine — root, heap, and static facts
-// plus the reach/escape rules — and runs it to fixpoint.
-func solvedEngine(m *threadify.Model, opts Options) *datalog.Engine {
-	e := datalog.NewEngine()
-	e.SetWorkers(opts.Workers)
-	objSym := func(o pointsto.ObjID) datalog.Sym { return e.IntSym('h', int(o)) }
-	thrSym := func(t int) datalog.Sym { return e.IntSym('t', t) }
-
-	// Roots: for each thread, every object any reachable variable points
-	// to (including the entry receiver, bound to `this` during the
-	// solve). We enumerate var points-to sets via the per-context
-	// reachable methods.
-	pts := m.PTS
-	for _, th := range m.Threads {
-		if th.Kind == threadify.KindDummyMain {
-			continue
-		}
-		for _, o := range RootObjs(m, th.ID) {
-			e.Fact("Root", thrSym(th.ID), objSym(o))
-		}
-		e.Fact("Touches", thrSym(th.ID))
-	}
-
-	// Heap edges.
-	for _, edge := range HeapEdges(pts) {
-		e.Fact("HeapPT", objSym(edge.Src), e.Sym("f:"+edge.Field), objSym(edge.Dst))
-	}
-
-	// Static fields are globally reachable.
-	for _, o := range StaticSeeds(pts) {
-		e.Fact("StaticPT", objSym(o))
-	}
-
-	installReachRules(e)
-	e.MustRule("Escapes(h) :- Reach(t1, h), Reach(t2, h), t1 != t2")
-	e.Run()
-	return e
-}
-
 // installReachRules installs the reach-closure subset of the escape
-// rules — everything except the Escapes self-join, which the
-// incremental combiner replaces with per-object reacher counting.
+// rules — everything except the Escapes self-join, which
+// resultFromReach replaces with per-object reacher counting.
 func installReachRules(e *datalog.Engine) {
 	e.MustRule("Reach(t, h) :- Root(t, h)")
 	e.MustRule("Reach(t, h2) :- Reach(t, h1), HeapPT(h1, f, h2)")
@@ -204,40 +160,90 @@ type Detail struct {
 	Statics []pointsto.ObjID
 }
 
-// AnalyzeDetailed is AnalyzeWith plus partition extraction: it runs the
-// identical engine and returns the identical Result, along with the
-// per-thread reach rows and closed static set a later incremental run
-// preloads.
-func AnalyzeDetailed(m *threadify.Model, opts Options) (*Result, *Detail) {
-	e := solvedEngine(m, opts)
-	pts := m.PTS
-	objSym := func(o pointsto.ObjID) datalog.Sym { return e.IntSym('h', int(o)) }
-	res := &Result{
-		escaped:  make(map[pointsto.ObjID]bool),
-		reachers: make(map[pointsto.ObjID]int),
-	}
-	for id := range pts.Objects() {
-		o := pointsto.ObjID(id)
-		sym := objSym(o)
-		if e.Has("Escapes", sym) {
-			res.escaped[o] = true
-		}
-		res.reachers[o] = len(e.Query("Reach", datalog.Wild, sym))
-	}
-	det := &Detail{Reach: make(map[int][]pointsto.ObjID)}
+// AnalyzeDetailed is AnalyzeWith plus the reach state behind it: the
+// per-thread reach rows and the closed static set a later incremental
+// run preloads.
+func AnalyzeDetailed(m *threadify.Model, _ Options) (*Result, *Detail) {
+	roots := make(map[int][]pointsto.ObjID)
 	for _, th := range m.Threads {
-		if th.Kind == threadify.KindDummyMain {
-			continue
-		}
-		det.Reach[th.ID] = reachRow(e, e.IntSym('t', th.ID))
-	}
-	for _, row := range e.Query("StaticPT", datalog.Wild) {
-		if _, v, ok := e.IntSymVal(row[0]); ok {
-			det.Statics = append(det.Statics, pointsto.ObjID(v))
+		if th.Kind != threadify.KindDummyMain {
+			roots[th.ID] = RootObjs(m, th.ID)
 		}
 	}
-	sort.Slice(det.Statics, func(i, j int) bool { return det.Statics[i] < det.Statics[j] })
-	return res, det
+	return solve(len(m.PTS.Objects()), HeapEdges(m.PTS), StaticSeeds(m.PTS), roots)
+}
+
+// solve runs the escape analysis on its raw inputs: numObjs objects,
+// the heap edges, the static seeds, and each thread's roots. A thread's
+// reach set is the heap closure of its roots on top of the closed
+// static set; an object's reacher count is the number of sets holding
+// it.
+func solve(numObjs int, edges []HeapEdge, staticSeeds []pointsto.ObjID, roots map[int][]pointsto.ObjID) (*Result, *Detail) {
+	succ := make([][]pointsto.ObjID, numObjs)
+	for _, edge := range edges {
+		succ[edge.Src] = append(succ[edge.Src], edge.Dst)
+	}
+	var stack []pointsto.ObjID
+	statics := make(objSet, (numObjs+63)/64)
+	stack = statics.closure(succ, staticSeeds, stack)
+	det := &Detail{
+		Reach:   make(map[int][]pointsto.ObjID, len(roots)),
+		Statics: statics.appendTo(nil),
+	}
+	reach := make(objSet, len(statics))
+	for t, rs := range roots {
+		copy(reach, statics)
+		stack = reach.closure(succ, rs, stack)
+		det.Reach[t] = reach.appendTo(make([]pointsto.ObjID, 0, reach.len()))
+	}
+	return resultFromReach(numObjs, det.Reach), det
+}
+
+// objSet is a word-packed set of object IDs sized for one model.
+type objSet []uint64
+
+// closure adds seeds and every object heap-reachable from them,
+// walking only from objects not already in s (s is closed on entry).
+// stack is scratch space, returned for reuse.
+func (s objSet) closure(succ [][]pointsto.ObjID, seeds []pointsto.ObjID, stack []pointsto.ObjID) []pointsto.ObjID {
+	push := func(o pointsto.ObjID) {
+		w, bit := o>>6, uint64(1)<<(o&63)
+		if s[w]&bit == 0 {
+			s[w] |= bit
+			stack = append(stack, o)
+		}
+	}
+	for _, o := range seeds {
+		push(o)
+	}
+	for len(stack) > 0 {
+		o := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, o2 := range succ[o] {
+			push(o2)
+		}
+	}
+	return stack
+}
+
+// len counts the set's members.
+func (s objSet) len() int {
+	n := 0
+	for _, w := range s {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// appendTo appends the set's members to out in ascending ID order.
+func (s objSet) appendTo(out []pointsto.ObjID) []pointsto.ObjID {
+	for wi, w := range s {
+		for w != 0 {
+			out = append(out, pointsto.ObjID(wi*64+bits.TrailingZeros64(w)))
+			w &= w - 1
+		}
+	}
+	return out
 }
 
 // reachRow extracts one thread's sorted reach set from the engine.
@@ -289,10 +295,8 @@ type IncrementalStats struct {
 // partitions: clean threads' reach rows are preloaded below the engine
 // fixpoint, dirty partitions are retracted, fresh root facts for the
 // dirty threads are asserted as the delta, and the semi-naive engine
-// derives only what changed. The Escapes self-join — the dominant cost
-// of the cold solve — is replaced by counting reachers per object,
-// which is equivalent by definition (an object escapes iff two distinct
-// threads reach it).
+// derives only what changed. Escape status comes from counting
+// reachers per object, as on the cold path.
 //
 // The Result and Detail are identical to AnalyzeDetailed's on the same
 // model whenever the IncrementalInput contract holds.

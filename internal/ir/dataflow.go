@@ -66,34 +66,59 @@ func mergeOrigin(a, b Origin) Origin {
 	return Origin{Kind: OriginUnknown, Site: -1}
 }
 
-// OriginInfo holds the per-instruction origin states of one method.
+// OriginInfo holds the value origins of one method's instruction
+// operands.
 type OriginInfo struct {
 	m *Method
-	// before[i][r] is the origin of register r immediately before
-	// instruction i executes.
-	before []map[int]Origin
+	// a[i] and b[i] are the origins of Instrs[i].A and Instrs[i].B
+	// immediately before instruction i executes.
+	a, b []Origin
 }
 
 // At returns the origin of register r immediately before instruction i.
+// Only operand origins are kept: r must be Instrs[i].A or Instrs[i].B,
+// which is every question the analyses ask (a store's value, a field
+// access's base, an invoke's receiver, a null check's operand). Any
+// other register yields the lattice top, OriginUnknown.
 func (oi *OriginInfo) At(i, r int) Origin {
-	if o, ok := oi.before[i][r]; ok {
-		return o
+	if i >= 0 && i < len(oi.a) {
+		switch in := oi.m.Instrs[i]; r {
+		case in.A:
+			return oi.a[i]
+		case in.B:
+			return oi.b[i]
+		}
 	}
-	return Origin{Kind: OriginUndef, Site: -1}
+	return Origin{Kind: OriginUnknown, Site: -1}
 }
 
 // ComputeOrigins runs the forward value-origin dataflow over m's CFG.
+// States are register-indexed slices: one in-state per block and one
+// scratch state for the block being walked.
 func ComputeOrigins(m *Method) *OriginInfo {
 	g := BuildCFG(m)
 	n := len(m.Instrs)
-	oi := &OriginInfo{m: m, before: make([]map[int]Origin, n+1)}
-	entry := make(map[int]Origin)
-	for r := 0; r <= m.NumArgs; r++ {
-		entry[r] = Origin{Kind: OriginParam, Site: -1}
+	undef := Origin{Kind: OriginUndef, Site: -1}
+	nregs := max(m.NumRegs, m.NumArgs+1)
+	for _, in := range m.Instrs {
+		nregs = max(nregs, in.A+1, in.B+1)
+	}
+	// Instructions in unreachable blocks keep undef operands.
+	oi := &OriginInfo{m: m, a: make([]Origin, n), b: make([]Origin, n)}
+	for i := range oi.a {
+		oi.a[i], oi.b[i] = undef, undef
+	}
+	entry := make([]Origin, nregs)
+	for r := range entry {
+		entry[r] = undef
+		if r <= m.NumArgs {
+			entry[r] = Origin{Kind: OriginParam, Site: -1}
+		}
 	}
 
-	in := make([]map[int]Origin, len(g.Blocks))
+	in := make([][]Origin, len(g.Blocks))
 	in[0] = entry
+	state := make([]Origin, nregs)
 	// Worklist over blocks.
 	work := []int{0}
 	inWork := make([]bool, len(g.Blocks))
@@ -102,11 +127,12 @@ func ComputeOrigins(m *Method) *OriginInfo {
 		b := work[0]
 		work = work[1:]
 		inWork[b] = false
-		state := copyState(in[b])
+		copy(state, in[b])
 		blk := g.Blocks[b]
 		for i := blk.Start; i < blk.End; i++ {
-			oi.before[i] = copyState(state)
-			applyOrigin(&state, m.Instrs[i], i)
+			ins := m.Instrs[i]
+			oi.a[i], oi.b[i] = regOrigin(state, ins.A), regOrigin(state, ins.B)
+			applyOrigin(state, ins, i)
 		}
 		for _, s := range blk.Succs {
 			if mergeInto(&in[s], state) {
@@ -117,60 +143,57 @@ func ComputeOrigins(m *Method) *OriginInfo {
 			}
 		}
 	}
-	// Instructions in unreachable blocks keep nil maps; At handles that.
-	for i := range oi.before {
-		if oi.before[i] == nil {
-			oi.before[i] = map[int]Origin{}
-		}
-	}
 	return oi
 }
 
-func applyOrigin(state *map[int]Origin, in Instr, idx int) {
-	set := func(r int, o Origin) { (*state)[r] = o }
-	switch in.Op {
-	case OpConstNull:
-		set(in.A, Origin{Kind: OriginNull, Site: idx})
-	case OpConstInt, OpConstStr:
-		set(in.A, Origin{Kind: OriginConst, Site: idx})
-	case OpNew:
-		set(in.A, Origin{Kind: OriginNew, Site: idx})
-	case OpMove:
-		set(in.A, (*state)[in.B])
-	case OpGetField, OpGetStatic:
-		set(in.A, Origin{Kind: OriginLoad, Site: idx})
-	case OpInvoke, OpInvokeStatic:
-		if in.A != NoReg {
-			set(in.A, Origin{Kind: OriginCall, Site: idx})
-		}
+// regOrigin reads register r of state; NoReg is undef.
+func regOrigin(state []Origin, r int) Origin {
+	if r < 0 {
+		return Origin{Kind: OriginUndef, Site: -1}
 	}
+	return state[r]
 }
 
-func copyState(s map[int]Origin) map[int]Origin {
-	out := make(map[int]Origin, len(s))
-	for k, v := range s {
-		out[k] = v
+func applyOrigin(state []Origin, in Instr, idx int) {
+	set := func(o Origin) {
+		if in.A >= 0 {
+			state[in.A] = o
+		}
 	}
-	return out
+	switch in.Op {
+	case OpConstNull:
+		set(Origin{Kind: OriginNull, Site: idx})
+	case OpConstInt, OpConstStr:
+		set(Origin{Kind: OriginConst, Site: idx})
+	case OpNew:
+		set(Origin{Kind: OriginNew, Site: idx})
+	case OpMove:
+		// A move from a never-assigned register yields the zero Origin
+		// (unknown, site 0), not undef: the copy is a definite value of
+		// unknown provenance.
+		o := regOrigin(state, in.B)
+		if o.Kind == OriginUndef {
+			o = Origin{}
+		}
+		set(o)
+	case OpGetField, OpGetStatic:
+		set(Origin{Kind: OriginLoad, Site: idx})
+	case OpInvoke, OpInvokeStatic:
+		set(Origin{Kind: OriginCall, Site: idx})
+	}
 }
 
 // mergeInto merges src into *dst, reporting whether *dst changed.
-func mergeInto(dst *map[int]Origin, src map[int]Origin) bool {
+func mergeInto(dst *[]Origin, src []Origin) bool {
 	if *dst == nil {
-		*dst = copyState(src)
+		*dst = append([]Origin(nil), src...)
 		return true
 	}
+	d := *dst
 	changed := false
 	for r, o := range src {
-		old, ok := (*dst)[r]
-		if !ok {
-			(*dst)[r] = o
-			changed = true
-			continue
-		}
-		merged := mergeOrigin(old, o)
-		if merged != old {
-			(*dst)[r] = merged
+		if merged := mergeOrigin(d[r], o); merged != d[r] {
+			d[r] = merged
 			changed = true
 		}
 	}

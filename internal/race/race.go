@@ -85,7 +85,7 @@ type Options struct {
 	// restriction (§5). When false the detector reports every
 	// read-write/write-write race, like stock Chord.
 	UseFreeOnly bool
-	// Workers bounds the Datalog engines' per-round worker pools
+	// Workers bounds the pairing Datalog engine's per-round worker pool
 	// (0 = GOMAXPROCS). Results are identical for any setting.
 	Workers int
 }
@@ -198,7 +198,7 @@ func DetectContext(ctx context.Context, m *threadify.Model, opts Options) *Resul
 	span.End()
 
 	_, span = obs.Start(ctx, "escape.analyze")
-	esc := escape.AnalyzeWith(m, escape.Options{Workers: opts.Workers})
+	esc := escape.Analyze(m)
 	span.End()
 
 	pctx, span := obs.Start(ctx, "race.pair")
