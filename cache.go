@@ -40,8 +40,9 @@ import (
 // and when the store already holds a cold-start blob for it the dexasm
 // parse and the modeling phase are both skipped. Cold runs parse, then
 // delegate to AnalyzeContext (which writes the blob through the store).
+// Without a store nothing reads the digest, so it is not computed.
 func AnalyzeSource(ctx context.Context, src string, opts Options) (*Result, error) {
-	if opts.IRDigest == "" {
+	if opts.Store != nil && opts.IRDigest == "" {
 		opts.IRDigest = store.IRDigest(src)
 	}
 	if dec := loadIRCache(ctx, opts); dec != nil {

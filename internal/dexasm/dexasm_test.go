@@ -171,6 +171,42 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// Malformed inputs that once panicked inside package ir (duplicate
+// members) or in cha.New on the first analysis (cyclic hierarchy). Each
+// must come back from Parse as an error naming the offending line or
+// class, never as a panic.
+var malformedSources = []struct {
+	name, src, want string
+}{
+	{"duplicate-method", "app a\nmanifest {\n  activity A/Main main\n}\nclass A/Main extends android/app/Activity {\n  method onCreate(1) {\n    return\n  }\n  method onCreate(1) {\n    return\n  }\n}\n",
+		"line 9: duplicate method A/Main.onCreate"},
+	{"duplicate-field", "class 0 extends 0\nfield 1 0\nfield 1 0", "line 3: duplicate field 0.1"},
+	{"duplicate-static-field", "app a\nclass X extends java/lang/Object {\n  field f X\n  static-field f X\n}\n", "line 4: duplicate field X.f"},
+	{"duplicate-class", "app a\nclass X extends java/lang/Object {\n}\nclass X extends java/lang/Object {\n}\n", "line 4: duplicate class X"},
+	{"redeclared-framework-class", "app a\nclass android/app/Activity extends java/lang/Object {\n}\n", "line 2: duplicate class android/app/Activity"},
+	{"self-supertype", "app a\nmanifest {\n  activity A/Main main\n}\nclass A/Main extends A/Main {\n}\n", "cyclic class hierarchy at A/Main"},
+	{"supertype-cycle", "app a\nclass A/X extends A/Y {\n}\nclass A/Y extends java/lang/Object implements A/Z {\n}\nclass A/Z extends A/X {\n}\n", "cyclic class hierarchy at A/X"},
+}
+
+func TestParseRejectsMalformedPrograms(t *testing.T) {
+	for _, tc := range malformedSources {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("Parse panicked: %v", r)
+				}
+			}()
+			_, err := Parse(tc.src)
+			if err == nil {
+				t.Fatal("Parse accepted a malformed program")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error %q does not mention %q", err, tc.want)
+			}
+		})
+	}
+}
+
 func TestFormatSkipsFrameworkClasses(t *testing.T) {
 	pkg, err := Parse(sample)
 	if err != nil {

@@ -123,6 +123,9 @@ func (p *parser) parseClass(prog *ir.Program, header string) error {
 	if len(fields) < 4 || fields[0] != "class" || fields[2] != "extends" {
 		return p.errf("malformed class header %q", header)
 	}
+	if prog.Class(fields[1]) != nil {
+		return p.errf("duplicate class %s", fields[1])
+	}
 	c := ir.NewClass(fields[1], fields[3])
 	rest := fields[4:]
 	for len(rest) > 0 {
@@ -159,11 +162,17 @@ func (p *parser) parseClass(prog *ir.Program, header string) error {
 			if len(f) != 3 {
 				return p.errf("malformed field %q", line)
 			}
+			if c.Field(f[1]) != nil {
+				return p.errf("duplicate field %s.%s", c.Name, f[1])
+			}
 			c.AddField(&ir.Field{Name: f[1], Type: f[2]})
 		case strings.HasPrefix(line, "static-field "):
 			f := strings.Fields(line)
 			if len(f) != 3 {
 				return p.errf("malformed static field %q", line)
+			}
+			if c.Field(f[1]) != nil {
+				return p.errf("duplicate field %s.%s", c.Name, f[1])
 			}
 			c.AddField(&ir.Field{Name: f[1], Type: f[2], Static: true})
 		case strings.Contains(line, "method "):
@@ -194,6 +203,9 @@ func (p *parser) parseMethod(c *ir.Class, header string) error {
 	nargs, err := strconv.Atoi(h[open+1 : close])
 	if err != nil {
 		return p.errf("bad arg count in %q", header)
+	}
+	if c.Method(name) != nil {
+		return p.errf("duplicate method %s.%s", c.Name, name)
 	}
 	m := ir.NewMethod(c.Name, name, nargs)
 	m.Static = static

@@ -7,7 +7,8 @@
 //
 // Exploration is stateless (re-execution from scratch per schedule) with
 // a standard DFS over scheduler choice points, bounded by a schedule
-// budget.
+// budget. What does not change between schedules is built once per
+// call: every schedule shares the app's class hierarchy.
 package explore
 
 import (
@@ -18,6 +19,7 @@ import (
 	"sync/atomic"
 
 	"nadroid/internal/apk"
+	"nadroid/internal/cha"
 	"nadroid/internal/interp"
 	"nadroid/internal/obs"
 	"nadroid/internal/threadify"
@@ -80,12 +82,23 @@ func FindNPE(pkg *apk.Package, opts Options, match func(interp.NPE) bool) (*Witn
 // search mid-budget and reports ctx.Err(). A nil error with ok == false
 // means the budget was exhausted without a witness.
 func FindNPEContext(ctx context.Context, pkg *apk.Package, opts Options, match func(interp.NPE) bool) (*Witness, bool, error) {
-	return findNPE(ctx, pkg, opts, match, nil)
+	return findNPE(ctx, pkg, cha.New(pkg.Program), opts, match, nil)
 }
 
-// findNPE is the shared search core; pr enables partial-order reduction
-// when non-nil (ValidateWarning-family callers only).
-func findNPE(ctx context.Context, pkg *apk.Package, opts Options, match func(interp.NPE) bool, pr *pruner) (*Witness, bool, error) {
+// hierarchyFor returns the class hierarchy every schedule of one call
+// shares: the model's, which is built over the same program, or one
+// built for the call when there is no model.
+func hierarchyFor(pkg *apk.Package, model *threadify.Model) *cha.Hierarchy {
+	if model != nil {
+		return model.H
+	}
+	return cha.New(pkg.Program)
+}
+
+// findNPE is the shared search core over pkg with hierarchy h; pr
+// enables partial-order reduction when non-nil (ValidateWarning-family
+// callers only).
+func findNPE(ctx context.Context, pkg *apk.Package, h *cha.Hierarchy, opts Options, match func(interp.NPE) bool, pr *pruner) (*Witness, bool, error) {
 	opts = opts.withDefaults()
 	if match == nil {
 		match = func(interp.NPE) bool { return true }
@@ -100,7 +113,7 @@ func findNPE(ctx context.Context, pkg *apk.Package, opts Options, match func(int
 		iopts := opts.Interp
 		iopts.TakeOpaqueBranches = takeOpaque
 		iopts.RecordChoices = pr != nil
-		w, ok, err := dfs(ctx, pkg, iopts, budget/len(policies), &executions, match, takeOpaque, pr)
+		w, ok, err := dfs(ctx, pkg, h, iopts, budget/len(policies), &executions, match, takeOpaque, pr)
 		if ok || err != nil {
 			return w, ok, err
 		}
@@ -113,7 +126,7 @@ func findNPE(ctx context.Context, pkg *apk.Package, opts Options, match func(int
 // (exhaustive exploration); with a pruner it is keyed by the prefix's
 // trace-equivalence normal form, so permutations of independent actions
 // count as one node and only the first representative executes.
-func dfs(ctx context.Context, pkg *apk.Package, iopts interp.Options, budget int, executions *int, match func(interp.NPE) bool, takeOpaque bool, pr *pruner) (wit *Witness, found bool, err error) {
+func dfs(ctx context.Context, pkg *apk.Package, h *cha.Hierarchy, iopts interp.Options, budget int, executions *int, match func(interp.NPE) bool, takeOpaque bool, pr *pruner) (wit *Witness, found bool, err error) {
 	type item struct {
 		schedule []int
 		// acts is the action prefix behind schedule (pruner mode only):
@@ -143,7 +156,7 @@ func dfs(ctx context.Context, pkg *apk.Package, iopts interp.Options, budget int
 		executed++
 
 		_, span := obs.Start(ctx, "schedule", obs.KV("depth", len(it.schedule)))
-		w := interp.NewWorld(pkg, iopts)
+		w := interp.NewWorld(pkg, h, iopts)
 		info := interp.Run(w, it.schedule)
 		span.End()
 		for _, npe := range w.NPEs() {
@@ -212,6 +225,11 @@ func ValidateWarning(pkg *apk.Package, model *threadify.Model, w *uaf.Warning, o
 // ValidateWarningContext is ValidateWarning with cancellation (see
 // FindNPEContext for the error contract).
 func ValidateWarningContext(ctx context.Context, pkg *apk.Package, model *threadify.Model, w *uaf.Warning, opts Options) (*Witness, bool, error) {
+	return validateWarning(ctx, pkg, hierarchyFor(pkg, model), model, w, opts)
+}
+
+// validateWarning is ValidateWarningContext over the hierarchy h of pkg.
+func validateWarning(ctx context.Context, pkg *apk.Package, h *cha.Hierarchy, model *threadify.Model, w *uaf.Warning, opts Options) (*Witness, bool, error) {
 	if model != nil {
 		opts.Interp.EventFilter = warningEventFilter(model, w)
 		opts.Interp.SpawnFilter = warningSpawnFilter(model, w)
@@ -220,7 +238,7 @@ func ValidateWarningContext(ctx context.Context, pkg *apk.Package, model *thread
 	if opts.Conflicts != nil {
 		pr = opts.Conflicts.ForWarning(w)
 	}
-	return findNPE(ctx, pkg, opts, func(n interp.NPE) bool {
+	return findNPE(ctx, pkg, h, opts, func(n interp.NPE) bool {
 		return n.LoadedAt == w.Use
 	}, pr)
 }
@@ -348,6 +366,7 @@ func ValidateAllDetailed(ctx context.Context, pkg *apk.Package, model *threadify
 		workers = len(warnings)
 	}
 	obs.Add(ctx, "explore_workers", int64(workers))
+	h := hierarchyFor(pkg, model)
 
 	type outcome struct {
 		wit *Witness
@@ -359,7 +378,7 @@ func ValidateAllDetailed(ctx context.Context, pkg *apk.Package, model *threadify
 		w := warnings[i]
 		wctx, span := obs.Start(ctx, "validate",
 			obs.KV("field", w.Field.String()), obs.KV("use", w.Use.String()), obs.KV("free", w.Free.String()))
-		wit, ok, err := ValidateWarningContext(wctx, pkg, model, w, opts)
+		wit, ok, err := validateWarning(wctx, pkg, h, model, w, opts)
 		span.SetAttr("harmful", ok)
 		if wit != nil {
 			span.SetAttr("executions", wit.Executions)
@@ -422,6 +441,7 @@ func FindNoSleep(pkg *apk.Package, opts Options) (*Witness, bool) {
 	}
 	budget := opts.MaxSchedules
 	executions := 0
+	h := cha.New(pkg.Program)
 	type item struct{ schedule []int }
 	stack := []item{{nil}}
 	seen := map[string]bool{"": true}
@@ -430,7 +450,7 @@ func FindNoSleep(pkg *apk.Package, opts Options) (*Witness, bool) {
 		stack = stack[:len(stack)-1]
 		budget--
 		executions++
-		w := interp.NewWorld(pkg, opts.Interp)
+		w := interp.NewWorld(pkg, h, opts.Interp)
 		info := interp.Run(w, it.schedule)
 		if w.HeldWakeLocks() > 0 && w.Done() && w.Steps() < opts.Interp.MaxSteps {
 			return &Witness{Schedule: append([]int(nil), it.schedule...), Executions: executions}, true
@@ -471,7 +491,7 @@ func Replay(pkg *apk.Package, model *threadify.Model, w *uaf.Warning, wit *Witne
 	iopts.TakeOpaqueBranches = wit.OpaqueBranchesTaken
 	iopts.Trace = true
 	iopts.StopOnNPE = true
-	world := interp.NewWorld(pkg, iopts)
+	world := interp.NewWorld(pkg, hierarchyFor(pkg, model), iopts)
 	interp.Run(world, wit.Schedule)
 	return world.Trace()
 }

@@ -6,6 +6,7 @@ import (
 
 	"nadroid/internal/apk"
 	"nadroid/internal/appbuilder"
+	"nadroid/internal/cha"
 	"nadroid/internal/framework"
 )
 
@@ -21,7 +22,7 @@ func buildPkg(t *testing.T, f func(b *appbuilder.Builder)) *apk.Package {
 }
 
 func runAll(pkg *apk.Package, opts Options) *World {
-	w := NewWorld(pkg, opts)
+	w := NewWorld(pkg, cha.New(pkg.Program), opts)
 	Run(w, nil)
 	return w
 }
@@ -56,7 +57,7 @@ func TestUIEventsRequireResumedState(t *testing.T) {
 		oc.Return()
 		b.Class("it/L", framework.Object, framework.OnClickListener).Method("onClick", 1).Return()
 	})
-	w := NewWorld(pkg, Options{Trace: true})
+	w := NewWorld(pkg, cha.New(pkg.Program), Options{Trace: true})
 	Run(w, nil)
 	trace := strings.Join(w.Trace(), "\n")
 	clickAt := strings.Index(trace, "fire ui:")
@@ -127,7 +128,7 @@ func TestMaxStepsBoundsRunaway(t *testing.T) {
 		oc.Label("loop")
 		oc.Goto("loop")
 	})
-	w := NewWorld(pkg, Options{MaxSteps: 500})
+	w := NewWorld(pkg, cha.New(pkg.Program), Options{MaxSteps: 500})
 	Run(w, nil)
 	if w.Steps() > 500 {
 		t.Errorf("steps = %d, want <= 500", w.Steps())
@@ -213,7 +214,7 @@ func TestStopOnNPEHalts(t *testing.T) {
 		orr.Use(g, "it/V")
 		orr.Return()
 	})
-	w := NewWorld(pkg, Options{StopOnNPE: true})
+	w := NewWorld(pkg, cha.New(pkg.Program), Options{StopOnNPE: true})
 	Run(w, nil)
 	if len(w.NPEs()) != 1 {
 		t.Errorf("StopOnNPE should record exactly one NPE, got %d", len(w.NPEs()))
@@ -327,7 +328,7 @@ func TestExecutorAndTimerSpawnThreads(t *testing.T) {
 		oc.InvokeVoid(timer, framework.Timer, "schedule", k, zero)
 		oc.Return()
 	})
-	w := NewWorld(pkg, Options{Trace: true})
+	w := NewWorld(pkg, cha.New(pkg.Program), Options{Trace: true})
 	Run(w, nil)
 	trace := strings.Join(w.Trace(), "\n")
 	if !strings.Contains(trace, "spawn pool:it/Job") {
@@ -349,7 +350,7 @@ func TestViewPostEnqueuesRunnable(t *testing.T) {
 		oc.InvokeVoid(view, framework.View, "post", j)
 		oc.Return()
 	})
-	w := NewWorld(pkg, Options{Trace: true})
+	w := NewWorld(pkg, cha.New(pkg.Program), Options{Trace: true})
 	Run(w, nil)
 	trace := strings.Join(w.Trace(), "\n")
 	if !strings.Contains(trace, "enqueue post:it/Job.run") {
@@ -368,7 +369,7 @@ func TestSpawnFilterSuppressesThreads(t *testing.T) {
 		oc.Return()
 	})
 	opts := Options{Trace: true, SpawnFilter: func(class string) bool { return false }}
-	w := NewWorld(pkg, opts)
+	w := NewWorld(pkg, cha.New(pkg.Program), opts)
 	Run(w, nil)
 	for _, line := range w.Trace() {
 		if strings.HasPrefix(line, "spawn") {

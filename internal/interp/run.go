@@ -21,8 +21,8 @@ func (w *World) blockedOnMonitor(e *executor) bool {
 	if !ok {
 		return false // will NPE, still schedulable
 	}
-	owner, _ := obj.Fields["$lockOwner"].(int64)
-	depth, _ := obj.Fields["$lockDepth"].(int64)
+	owner, _ := obj.Get("$lockOwner").(int64)
+	depth, _ := obj.Get("$lockDepth").(int64)
 	return depth > 0 && owner != int64(e.id)
 }
 
@@ -70,11 +70,8 @@ func Run(w *World, schedule []int) *ScheduleInfo {
 		// Drop blocked executors from the option list.
 		filtered := opts[:0]
 		for _, o := range opts {
-			o := o
-			if len(o.key) > 4 && o.key[:4] == "run:" {
-				if ex := w.executorFor(o.key[4:]); ex != nil && w.blockedOnMonitor(ex) {
-					continue
-				}
+			if o.ex != nil && w.blockedOnMonitor(o.ex) {
+				continue
 			}
 			filtered = append(filtered, o)
 		}
@@ -95,32 +92,19 @@ func Run(w *World, schedule []int) *ScheduleInfo {
 			if w.opts.RecordChoices {
 				row := make([]Choice, len(opts))
 				for i, o := range opts {
-					row[i] = Choice{Key: o.key, Method: o.method}
+					row[i] = Choice{Key: o.key(), Method: o.method()}
 				}
 				info.Choices = append(info.Choices, row)
 				info.Forced = append(info.Forced, forced)
 				forced = 0
 			}
 			pos++
-		} else if w.opts.RecordChoices && opts[0].key != "run:looper" {
+		} else if w.opts.RecordChoices && opts[0].ex != w.looper {
 			forced++
 		}
-		opts[choice].run(w)
+		w.take(opts[choice])
 	}
 	return info
-}
-
-// executorFor finds an executor by name ("looper" or a bg name).
-func (w *World) executorFor(name string) *executor {
-	if name == "looper" {
-		return w.looper
-	}
-	for _, bg := range w.bgs {
-		if bg.name == name {
-			return bg
-		}
-	}
-	return nil
 }
 
 // RunPackage is the convenience entry: build a world and run it.

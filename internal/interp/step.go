@@ -70,7 +70,7 @@ func (w *World) exec(e *executor, f *frame, in ir.Instr) (bool, bool) {
 		advance()
 	case ir.OpConstNull:
 		f.regs[in.A] = nil
-		delete(f.loadSite, in.A)
+		f.loadSite[in.A] = ir.InstrID{}
 		advance()
 	case ir.OpConstInt:
 		f.regs[in.A] = in.IntVal
@@ -80,15 +80,11 @@ func (w *World) exec(e *executor, f *frame, in ir.Instr) (bool, bool) {
 		advance()
 	case ir.OpNew:
 		f.regs[in.A] = w.alloc(in.Type)
-		delete(f.loadSite, in.A)
+		f.loadSite[in.A] = ir.InstrID{}
 		advance()
 	case ir.OpMove:
 		f.regs[in.A] = f.regs[in.B]
-		if s, ok := f.loadSite[in.B]; ok {
-			f.loadSite[in.A] = s
-		} else {
-			delete(f.loadSite, in.A)
-		}
+		f.loadSite[in.A] = f.loadSite[in.B]
 		advance()
 
 	case ir.OpGetField:
@@ -113,13 +109,13 @@ func (w *World) exec(e *executor, f *frame, in ir.Instr) (bool, bool) {
 		advance()
 		return true, false
 	case ir.OpGetStatic:
-		f.regs[in.A] = w.statics[in.Field.String()]
+		f.regs[in.A] = w.statics[in.Field]
 		f.loadSite[in.A] = w.here(e, f)
 		w.recordAccess(e, f, in, nil, false, false)
 		advance()
 		return true, false
 	case ir.OpPutStatic:
-		w.statics[in.Field.String()] = f.regs[in.A]
+		w.statics[in.Field] = f.regs[in.A]
 		w.recordAccess(e, f, in, nil, true, f.regs[in.A] == nil)
 		advance()
 		return true, false
@@ -262,33 +258,33 @@ func (w *World) lockSyncEntry(e *executor, m *ir.Method, obj *Object) {
 
 // lock tries to acquire obj's monitor for e; false means blocked.
 func (w *World) lock(e *executor, obj *Object) bool {
-	owner, _ := obj.Fields["$lockOwner"].(int64)
-	depth, _ := obj.Fields["$lockDepth"].(int64)
+	owner, _ := obj.Get("$lockOwner").(int64)
+	depth, _ := obj.Get("$lockDepth").(int64)
 	if depth > 0 && owner != int64(e.id) {
 		return false
 	}
-	obj.Fields["$lockOwner"] = int64(e.id)
-	obj.Fields["$lockDepth"] = depth + 1
+	obj.Set("$lockOwner", int64(e.id))
+	obj.Set("$lockDepth", depth+1)
 	return true
 }
 
 func (w *World) unlock(e *executor, obj *Object) {
-	depth, _ := obj.Fields["$lockDepth"].(int64)
+	depth, _ := obj.Get("$lockDepth").(int64)
 	if depth > 0 {
-		obj.Fields["$lockDepth"] = depth - 1
+		obj.Set("$lockDepth", depth-1)
 	}
 }
 
 // here returns the current instruction's ID.
 func (w *World) here(e *executor, f *frame) ir.InstrID {
-	return ir.InstrID{Method: f.m.Ref(), Index: f.pc}
+	return ir.InstrID{Method: methodRef(f.m, &f.ref), Index: f.pc}
 }
 
 // throwNPE records a NullPointerException at the current instruction and
 // aborts the faulting task/thread.
 func (w *World) throwNPE(e *executor, f *frame, in ir.Instr) {
 	npe := NPE{At: w.here(e, f), Task: e.name}
-	if site, ok := f.loadSite[in.B]; ok {
+	if site := f.loadSite[in.B]; site.Method != "" {
 		npe.LoadedAt = site
 		if m, err := w.h.MethodByRef(site.Method); err == nil && site.Index < len(m.Instrs) {
 			npe.Field = m.Instrs[site.Index].Field
@@ -470,15 +466,15 @@ func (w *World) intrinsic(e *executor, name string, recv *Object, args []Value) 
 	case framework.WakeNew:
 		return w.alloc(framework.WakeLock), false
 	case framework.WakeAcquire:
-		n, _ := recv.Fields["$wakeHeld"].(int64)
-		recv.Fields["$wakeHeld"] = n + 1
+		n, _ := recv.Get("$wakeHeld").(int64)
+		recv.Set("$wakeHeld", n+1)
 		w.wakeHeld[recv] = true
 		w.tracef("acquire wakelock %s", recv)
 		return nil, true
 	case framework.WakeRelease:
-		n, _ := recv.Fields["$wakeHeld"].(int64)
+		n, _ := recv.Get("$wakeHeld").(int64)
 		if n > 0 {
-			recv.Fields["$wakeHeld"] = n - 1
+			recv.Set("$wakeHeld", n-1)
 			if n-1 == 0 {
 				delete(w.wakeHeld, recv)
 			}

@@ -2,7 +2,7 @@ package interp
 
 import (
 	"fmt"
-	"sort"
+	"strconv"
 
 	"nadroid/internal/apk"
 	"nadroid/internal/cha"
@@ -46,8 +46,8 @@ type Options struct {
 	// RecordChoices makes Run keep the full option row (key + entry
 	// method) at every multi-option choice point in ScheduleInfo.Choices.
 	// The explorer's partial-order reduction needs the identities to
-	// canonicalize schedule prefixes; off by default because computing
-	// the entry refs allocates per choice point.
+	// canonicalize schedule prefixes; off by default because the rows
+	// allocate per choice point.
 	RecordChoices bool
 }
 
@@ -107,14 +107,27 @@ type frame struct {
 	pc    int
 	retTo int // caller register receiving the return value (NoReg: none)
 	// loadSite tracks, per register, the getfield that produced its value
-	// (for NPE attribution).
-	loadSite map[int]ir.InstrID
+	// (for NPE attribution); the zero InstrID means none.
+	loadSite []ir.InstrID
+	// ref caches m.Ref() for the instruction IDs this frame records.
+	ref string
+}
+
+// methodRef returns m's "Class.Name" spelling, building it into *cache on
+// first use so a scheduler step never concatenates it again.
+func methodRef(m *ir.Method, cache *string) string {
+	if *cache == "" && m != nil {
+		*cache = m.Ref()
+	}
+	return *cache
 }
 
 // executor runs a stack of frames: the looper or one background thread.
 type executor struct {
 	id   int
 	name string
+	// key is the executor's scheduler option key, "run:" + name.
+	key string
 	// looper executors pull tasks from the world queue when idle.
 	isLooper bool
 	stack    []*frame
@@ -125,6 +138,9 @@ type executor struct {
 	dead   bool
 	// curTask is the trace task id currently executing (-1 when idle).
 	curTask int
+	// entryRef caches the Ref of stack[0]'s method for the current task
+	// ("" until first asked; reset when the looper starts a new task).
+	entryRef string
 }
 
 func (e *executor) idle() bool { return len(e.stack) == 0 }
@@ -142,6 +158,8 @@ type task struct {
 	handler *Object
 	// posterTask is the trace task that enqueued this one (-1 external).
 	posterTask int
+	// key ("dispatch:" + name) and ref (m.Ref()) are built on first use.
+	key, ref string
 }
 
 // extEvent is one external event the environment may deliver.
@@ -175,6 +193,8 @@ type extEvent struct {
 	// lastFiredTask is the trace task id of the most recent firing, so
 	// `after` constraints become HB edges (SC fired before SD).
 	lastFiredTask int
+	// key ("event:<id>:<name>") and ref (m.Ref()) are built on first use.
+	key, ref string
 }
 
 func (ev *extEvent) enabled(w *World) bool {
@@ -197,16 +217,24 @@ func (ev *extEvent) enabled(w *World) bool {
 	if ev.view != nil && w.hiddenViews[ev.view] {
 		return false
 	}
-	if w.opts.EventFilter != nil {
-		ref := ""
-		if ev.m != nil {
-			ref = ev.m.Ref()
-		}
-		if !w.opts.EventFilter(ref, ev.component, ev.name) {
-			return false
-		}
+	if w.opts.EventFilter != nil && !w.opts.EventFilter(methodRef(ev.m, &ev.ref), ev.component, ev.name) {
+		return false
 	}
 	return true
+}
+
+func (ev *extEvent) optionKey() string {
+	if ev.key == "" {
+		ev.key = "event:" + strconv.Itoa(ev.id) + ":" + ev.name
+	}
+	return ev.key
+}
+
+func (t *task) optionKey() string {
+	if t.key == "" {
+		t.key = "dispatch:" + t.name
+	}
+	return t.key
 }
 
 // World is the full runtime state of one execution.
@@ -215,7 +243,7 @@ type World struct {
 	h    *cha.Hierarchy
 	opts Options
 
-	statics   map[string]Value
+	statics   map[ir.FieldRef]Value
 	nextObjID int
 
 	looper *executor
@@ -251,16 +279,21 @@ type World struct {
 	// pendingTask maps queued tasks / events / spawns to the trace task
 	// id of whoever caused them, so HB edges land at start time.
 	taskSeq int
+
+	// optBuf is the option list Options reuses from step to step.
+	optBuf []option
 }
 
-// NewWorld prepares a run: component instances are allocated and the
-// environment's lifecycle events installed.
-func NewWorld(pkg *apk.Package, opts Options) *World {
+// NewWorld prepares a run over pkg: component instances are allocated
+// and the environment's lifecycle events installed. h must be the class
+// hierarchy of pkg.Program (cha.New); it is only read, so one hierarchy
+// serves every world of an app, concurrently too.
+func NewWorld(pkg *apk.Package, h *cha.Hierarchy, opts Options) *World {
 	w := &World{
 		pkg:             pkg,
-		h:               cha.New(pkg.Program),
+		h:               h,
 		opts:            opts.withDefaults(),
-		statics:         make(map[string]Value),
+		statics:         make(map[ir.FieldRef]Value),
 		compInstance:    make(map[string]*Object),
 		finished:        make(map[string]bool),
 		destroyed:       make(map[string]bool),
@@ -269,7 +302,7 @@ func NewWorld(pkg *apk.Package, opts Options) *World {
 		wakeHeld:        make(map[*Object]bool),
 		hasResumeMethod: make(map[string]bool),
 	}
-	w.looper = &executor{id: 0, name: "looper", isLooper: true, curTask: -1}
+	w.looper = &executor{id: 0, name: "looper", key: "run:looper", isLooper: true, curTask: -1}
 	w.nextEx = 1
 	for _, comp := range pkg.Manifest.Components() {
 		if !comp.Reachable {
@@ -284,7 +317,7 @@ func NewWorld(pkg *apk.Package, opts Options) *World {
 
 func (w *World) alloc(class string) *Object {
 	w.nextObjID++
-	return &Object{ID: w.nextObjID, Class: class, Fields: make(map[string]Value)}
+	return &Object{ID: w.nextObjID, Class: class}
 }
 
 // installLifecycleEvents wires the component's framework-driven events.
@@ -425,69 +458,86 @@ func (w *World) tracef(format string, args ...interface{}) {
 	}
 }
 
-// option is one scheduler alternative at a choice point.
+// option is one scheduler alternative at a choice point: firing ev,
+// dispatching the queue head t, or advancing executor ex (exactly one is
+// set).
 type option struct {
-	key string
-	// method is the entry method ref behind the option (the task or
-	// thread body it runs/starts). Only populated under
-	// Options.RecordChoices; "" when unknown.
-	method string
-	run    func(w *World)
+	ev *extEvent
+	t  *task
+	ex *executor
 }
 
-// options enumerates the current scheduler alternatives in a stable
+// key is the option's stable identity; schedules index into the option
+// list sorted by key.
+func (o option) key() string {
+	switch {
+	case o.ev != nil:
+		return o.ev.optionKey()
+	case o.t != nil:
+		return o.t.optionKey()
+	}
+	return o.ex.key
+}
+
+// method is the entry method ref behind the option: the task or thread
+// body it runs or starts ("" when unknown).
+func (o option) method() string {
+	switch {
+	case o.ev != nil:
+		return methodRef(o.ev.m, &o.ev.ref)
+	case o.t != nil:
+		return methodRef(o.t.m, &o.t.ref)
+	}
+	return methodRef(o.ex.stack[0].m, &o.ex.entryRef)
+}
+
+// take performs the option's action.
+func (w *World) take(o option) {
+	switch {
+	case o.ev != nil:
+		o.ev.fired++
+		w.fireEvent(o.ev)
+	case o.t != nil:
+		w.queue = w.queue[1:]
+		w.startTask(w.looper, o.t)
+	default:
+		w.quantum(o.ex)
+	}
+}
+
+// Options enumerates the current scheduler alternatives in a stable
 // order: advancing a busy executor, or (when the looper is idle)
-// dispatching a queued task or firing an enabled external event.
+// dispatching a queued task or firing an enabled external event. The
+// returned slice is reused by the next call.
 func (w *World) Options() []option {
-	rec := w.opts.RecordChoices
-	var opts []option
+	opts := w.optBuf[:0]
 	if !w.looper.idle() {
-		o := option{key: "run:looper", run: func(w *World) { w.quantum(w.looper) }}
-		if rec {
-			o.method = w.looper.stack[0].m.Ref()
-		}
-		opts = append(opts, o)
+		opts = append(opts, option{ex: w.looper})
 	} else {
 		if len(w.queue) > 0 {
 			// FIFO dispatch: the Android looper processes its queue in
 			// order, so only the head is dispatchable.
-			t := w.queue[0]
-			o := option{key: "dispatch:" + t.name, run: func(w *World) {
-				w.queue = w.queue[1:]
-				w.startTask(w.looper, t)
-			}}
-			if rec && t.m != nil {
-				o.method = t.m.Ref()
-			}
-			opts = append(opts, o)
+			opts = append(opts, option{t: w.queue[0]})
 		}
 		for _, ev := range w.events {
-			if !ev.enabled(w) {
-				continue
+			if ev.enabled(w) {
+				opts = append(opts, option{ev: ev})
 			}
-			ev := ev
-			o := option{key: fmt.Sprintf("event:%d:%s", ev.id, ev.name), run: func(w *World) {
-				ev.fired++
-				w.fireEvent(ev)
-			}}
-			if rec && ev.m != nil {
-				o.method = ev.m.Ref()
-			}
-			opts = append(opts, o)
 		}
 	}
 	for _, bg := range w.bgs {
-		if bg.dead || bg.idle() {
-			continue
+		if !bg.dead && !bg.idle() {
+			opts = append(opts, option{ex: bg})
 		}
-		bg := bg
-		o := option{key: "run:" + bg.name, run: func(w *World) { w.quantum(bg) }}
-		if rec {
-			o.method = bg.stack[0].m.Ref()
-		}
-		opts = append(opts, o)
 	}
-	sort.Slice(opts, func(i, j int) bool { return opts[i].key < opts[j].key })
+	// Insertion sort by key: the rows are short, keys are unique, and
+	// unlike sort.Slice it allocates nothing.
+	for i := 1; i < len(opts); i++ {
+		for j := i; j > 0 && opts[j].key() < opts[j-1].key(); j-- {
+			opts[j], opts[j-1] = opts[j-1], opts[j]
+		}
+	}
+	w.optBuf = opts
 	return opts
 }
 
@@ -509,7 +559,7 @@ func (w *World) fireEvent(ev *extEvent) {
 	case "lifecycle:onPause":
 		w.resumed[ev.component] = false
 	}
-	t := &task{name: ev.name, m: ev.m, recv: ev.recv, args: ev.args, component: ev.component, posterTask: -1}
+	t := &task{name: ev.name, m: ev.m, recv: ev.recv, args: ev.args, component: ev.component, posterTask: -1, ref: ev.ref}
 	tid := w.startTask(w.looper, t)
 	// HB: registration precedes the callback; prior firings of HB-before
 	// events precede this one (the CAFA/DroidRacer event HB model).
@@ -524,6 +574,7 @@ func (w *World) startTask(e *executor, t *task) int {
 	w.tracef("start %s on %s", t.name, e.name)
 	e.component = t.component
 	e.onDone = t.onDone
+	e.entryRef = t.ref
 	e.curTask = w.newTraceTask(t.name)
 	w.hbEdge(t.posterTask, e.curTask)
 	e.push(t.m, t.recv, t.args, ir.NoReg)
@@ -538,17 +589,15 @@ func (e *executor) push(m *ir.Method, recv Value, args []Value, retTo int) {
 // arguments, so an NPE deep in a callee still names the getfield that
 // produced the null.
 func (e *executor) pushWithSites(m *ir.Method, recv Value, args []Value, retTo int, recvSite ir.InstrID, argSites []ir.InstrID) {
-	f := &frame{m: m, regs: make([]Value, m.NumRegs), retTo: retTo, loadSite: make(map[int]ir.InstrID)}
+	f := &frame{m: m, regs: make([]Value, m.NumRegs), retTo: retTo, loadSite: make([]ir.InstrID, m.NumRegs)}
 	if !m.Static {
 		f.regs[m.ThisReg()] = recv
-		if recvSite.Method != "" {
-			f.loadSite[m.ThisReg()] = recvSite
-		}
+		f.loadSite[m.ThisReg()] = recvSite
 	}
 	for i, a := range args {
 		if i < m.NumArgs {
 			f.regs[m.ArgReg(i)] = a
-			if i < len(argSites) && argSites[i].Method != "" {
+			if i < len(argSites) {
 				f.loadSite[m.ArgReg(i)] = argSites[i]
 			}
 		}
@@ -568,6 +617,7 @@ func (w *World) spawnBg(name string, m *ir.Method, recv Value, args []Value, com
 		return
 	}
 	e := &executor{id: w.nextEx, name: fmt.Sprintf("%s#%d", name, w.nextEx), component: component, onDone: onDone}
+	e.key = "run:" + e.name
 	w.nextEx++
 	e.curTask = w.newTraceTask(name)
 	w.hbEdge(w.currentTask(), e.curTask)

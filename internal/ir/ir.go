@@ -242,9 +242,13 @@ func (m *Method) Validate() error {
 	return nil
 }
 
-// Validate checks every method in the program.
+// Validate checks that no class is its own transitive supertype and
+// that every method is well formed.
 func (p *Program) Validate() error {
 	var errs []string
+	if name := p.cyclicClass(); name != "" {
+		errs = append(errs, "cyclic class hierarchy at "+name)
+	}
 	for _, c := range p.Classes() {
 		for _, m := range c.Methods {
 			if m.Abstract {
@@ -259,6 +263,43 @@ func (p *Program) Validate() error {
 		return fmt.Errorf("ir: %s", strings.Join(errs, "; "))
 	}
 	return nil
+}
+
+// cyclicClass returns the first class, in insertion order, that reaches
+// itself through superclass or interface edges ("" when none does).
+// Unknown supertypes end a chain; they behave as opaque externals.
+func (p *Program) cyclicClass() string {
+	const onPath, done = 1, 2 // a class's visit state; 0 is unvisited
+	state := make(map[string]int)
+	var visit func(name string) string
+	visit = func(name string) string {
+		c := p.classes[name]
+		if c == nil || state[name] == done {
+			return ""
+		}
+		if state[name] == onPath {
+			return name
+		}
+		state[name] = onPath
+		if c.Super != "" {
+			if n := visit(c.Super); n != "" {
+				return n
+			}
+		}
+		for _, i := range c.Interfaces {
+			if n := visit(i); n != "" {
+				return n
+			}
+		}
+		state[name] = done
+		return ""
+	}
+	for _, name := range p.order {
+		if n := visit(name); n != "" {
+			return n
+		}
+	}
+	return ""
 }
 
 // InstrID identifies one instruction site in a program.

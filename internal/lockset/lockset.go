@@ -28,8 +28,6 @@ type Result struct {
 	m *threadify.Model
 	// entry[mc] is the set of locks held on every path reaching mc.
 	entry map[threadify.MCtx]lockSet
-	// intra caches per-method monitor-region analyses.
-	intra map[string][]lockSet // method ref -> per-instruction held set
 }
 
 type lockSet map[LockID]struct{}
@@ -69,7 +67,6 @@ func Analyze(m *threadify.Model) *Result {
 	r := &Result{
 		m:     m,
 		entry: make(map[threadify.MCtx]lockSet),
-		intra: make(map[string][]lockSet),
 	}
 
 	// Entry-lock propagation: a worklist over call edges. Thread entries

@@ -323,6 +323,28 @@ func TestAppsHealthzAndBadRequests(t *testing.T) {
 	}
 }
 
+// TestMalformedDexasmRejected submits programs the parser once let
+// through to a panic: a duplicate method (panicked in the handler) and
+// a class that extends itself (parsed, then panicked in cha.New inside
+// a pool worker and took the daemon down). Both must be a 400, and the
+// service must still answer afterwards.
+func TestMalformedDexasmRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	for name, src := range map[string]string{
+		"duplicate method": "app a\nmanifest {\n  activity A/Main main\n}\nclass A/Main extends android/app/Activity {\n  method onCreate(1) {\n    return\n  }\n  method onCreate(1) {\n    return\n  }\n}\n",
+		"cyclic hierarchy": "app a\nmanifest {\n  activity A/Main main\n}\nclass A/Main extends A/Main {\n}\n",
+	} {
+		resp, data := postJSON(t, ts.URL+"/v1/analyze", AnalyzeRequest{Dexasm: src})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d (%s), want 400", name, resp.StatusCode, data)
+		}
+	}
+	resp, data := getBody(t, ts.URL+"/healthz")
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(data), "ok") {
+		t.Errorf("healthz after malformed input: %d %q", resp.StatusCode, data)
+	}
+}
+
 // TestShutdownDrainsAndRejects verifies graceful shutdown: in-flight
 // work completes, later submissions are turned away.
 func TestShutdownDrainsAndRejects(t *testing.T) {
